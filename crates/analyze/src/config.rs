@@ -8,7 +8,7 @@
 //! # Hot-path entry points for the L2/L5 reachability closure.
 //! [interproc]
 //! roots = [
-//!     "SatSolver::solve_with",
+//!     "SatSolver::solve",
 //!     "JitDecoder::decode",
 //! ]
 //!

@@ -59,12 +59,30 @@ fn bench_theory_warm_start(c: &mut Criterion) {
         })
     });
     g.bench_function("warm_session_across_checks", |b| {
-        // One persistent session, as owned by a production `Solver`: rows
-        // intern on the first pass, later iterations ride the warm basis.
+        // One persistent session, as owned by a production `Solver`: every
+        // distinct atom gets one registry index, so literals compile and
+        // rows intern on the first pass and later iterations ride the warm
+        // basis.
+        let mut registry: Vec<LinAtom> = Vec::new();
+        let lits: Vec<Vec<(usize, bool)>> = checks
+            .iter()
+            .map(|atoms| {
+                atoms
+                    .iter()
+                    .map(|a| {
+                        let i = registry.iter().position(|r| r == a).unwrap_or_else(|| {
+                            registry.push(a.clone());
+                            registry.len() - 1
+                        });
+                        (i, true)
+                    })
+                    .collect()
+            })
+            .collect();
         let mut session = TheorySession::new();
         b.iter(|| {
-            for atoms in &checks {
-                black_box(session.check(&pool, atoms, config).unwrap());
+            for l in &lits {
+                black_box(session.check(&pool, &registry, l, config).unwrap());
             }
         })
     });
@@ -74,7 +92,7 @@ fn bench_theory_warm_start(c: &mut Criterion) {
 fn bench_solver_probe_loop(c: &mut Criterion) {
     // The decoder-shaped workload one level up: a warm `Solver` sweeping
     // value probes through `check_assuming`, every check hitting the
-    // persistent theory backend (and, on repeats, the verdict memo).
+    // persistent theory backend.
     let mut s = Solver::new();
     let vars: Vec<_> = (0..5).map(|t| s.int_var(&format!("i{t}"), 0, 60)).collect();
     let terms: Vec<_> = vars.iter().map(|&v| s.var(v)).collect();

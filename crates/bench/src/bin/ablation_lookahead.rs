@@ -1,6 +1,6 @@
-//! Ablation A1: solver lookahead on vs off (dead-end rate) and theory
-//! propagation on vs off (per-character solver cost), plus the thread- and
-//! batch-scaling studies of the parallel record-level decoder.
+//! Ablation A1: solver lookahead tiers (dead-end rate and per-character
+//! solver cost), plus the thread- and batch-scaling studies of the
+//! parallel record-level decoder.
 //!
 //! Usage: `cargo run -p lejit-bench --release --bin ablation_lookahead`
 //! (`LEJIT_THREADS=n` pins the worker count, `LEJIT_BATCH=n` the records
@@ -25,8 +25,6 @@ fn main() {
                 "checks_per_char": r.checks_per_char,
                 "pivots_per_char": r.pivots_per_char,
                 "bnb_nodes_per_char": r.bnb_per_char,
-                "propagations_per_char": r.props_per_char,
-                "explanations_per_char": r.explains_per_char,
                 "sec_per_sample": r.sec_per_sample,
             })
         })

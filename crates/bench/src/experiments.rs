@@ -587,10 +587,6 @@ pub struct SolverBenchRow {
     pub pivots_per_char: f64,
     /// Branch-and-bound nodes per generated character.
     pub bnb_per_char: f64,
-    /// Theory propagations per generated character.
-    pub props_per_char: f64,
-    /// Lazy explanation clauses materialized per generated character.
-    pub explains_per_char: f64,
     /// Mean wall-clock seconds per sample.
     pub sec_per_sample: f64,
 }
@@ -599,12 +595,7 @@ pub struct SolverBenchRow {
 /// interval-guided tiers vs no lookahead at all (dead-end rate, compliance,
 /// and per-character solver cost) — plus the serving configuration
 /// (interval-guided over a warm per-worker [`SessionPool`], which must
-/// decode the same bytes while skipping the cold session build) and the
-/// theory-propagation off-oracles (full and interval-guided tiers with
-/// `TaskConfig::theory_propagate` disabled, which must also decode the same
-/// bytes — the on/off delta in pivots and branch-and-bound nodes is the
-/// propagation effect, read at the full tier where theory conflicts are
-/// dense and at the guided tier where checks are already near-trivial).
+/// decode the same bytes while skipping the cold session build).
 pub fn ablation_lookahead(env: &BenchEnv) -> Table {
     ablation_lookahead_detailed(env).0
 }
@@ -623,40 +614,24 @@ pub fn ablation_lookahead_detailed(env: &BenchEnv) -> (Table, Vec<SolverBenchRow
         "checks saved/char",
         "pivots/char",
         "b&b nodes/char",
-        "props/char",
-        "memo hits/char",
         "encode hit rate",
         "pool hit rate",
         "pool evictions",
         "sec/sample",
     ]);
     let mut rows = Vec::new();
-    for (label, lookahead, pooled, propagate) in [
-        ("full (LeJIT)", Lookahead::Full, false, true),
-        ("full (no propagation)", Lookahead::Full, false, false),
-        (
-            "interval-guided (LeJIT)",
-            Lookahead::IntervalGuided,
-            false,
-            true,
-        ),
-        (
-            "interval-guided (no propagation)",
-            Lookahead::IntervalGuided,
-            false,
-            false,
-        ),
+    for (label, lookahead, pooled) in [
+        ("full (LeJIT)", Lookahead::Full, false),
+        ("interval-guided (LeJIT)", Lookahead::IntervalGuided, false),
         (
             "interval-guided (pooled sessions)",
             Lookahead::IntervalGuided,
-            true,
             true,
         ),
         (
             "immediate only (grammar-style)",
             Lookahead::ImmediateOnly,
             false,
-            true,
         ),
     ] {
         let start = Instant::now();
@@ -672,7 +647,6 @@ pub fn ablation_lookahead_detailed(env: &BenchEnv) -> (Table, Vec<SolverBenchRow
                     d.bandwidth,
                     TaskConfig {
                         lookahead,
-                        theory_propagate: propagate,
                         ..task_config(100)
                     },
                 );
@@ -701,9 +675,6 @@ pub fn ablation_lookahead_detailed(env: &BenchEnv) -> (Table, Vec<SolverBenchRow
                     total.solver_checks_saved += s.solver_checks_saved;
                     total.solver_pivots += s.solver_pivots;
                     total.solver_bnb_nodes += s.solver_bnb_nodes;
-                    total.theory_propagations += s.theory_propagations;
-                    total.theory_explanations += s.theory_explanations;
-                    total.theory_memo_hits += s.theory_memo_hits;
                     total.encode_cache_hits += s.encode_cache_hits;
                     total.encode_cache_misses += s.encode_cache_misses;
                     total.pool_hits += s.pool_hits;
@@ -752,8 +723,6 @@ pub fn ablation_lookahead_detailed(env: &BenchEnv) -> (Table, Vec<SolverBenchRow
             per_char(total.solver_checks_saved),
             per_char(total.solver_pivots),
             per_char(total.solver_bnb_nodes),
-            per_char(total.theory_propagations),
-            per_char(total.theory_memo_hits),
             encode_rate,
             pool_rate,
             if pool_total == 0 {
@@ -770,8 +739,6 @@ pub fn ablation_lookahead_detailed(env: &BenchEnv) -> (Table, Vec<SolverBenchRow
             checks_per_char: rate(total.solver_checks),
             pivots_per_char: rate(total.solver_pivots),
             bnb_per_char: rate(total.solver_bnb_nodes),
-            props_per_char: rate(total.theory_propagations),
-            explains_per_char: rate(total.theory_explanations),
             sec_per_sample: wall,
         });
     }

@@ -1,6 +1,10 @@
 //! Shared benchmark environment: dataset generation, model training, rule
 //! mining — the "once per run" setup every figure shares.
 
+use std::fs;
+use std::io::{self, Write};
+use std::path::{Path, PathBuf};
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -178,63 +182,34 @@ impl BenchEnv {
             .map(|t| vocab.encode(t).expect("corpus built from these texts"))
             .collect();
 
-        // Trained-model cache: the dataset (and hence the corpus) is
-        // deterministic per scale, so a saved model can be reused across
-        // figure binaries. Disable with LEJIT_NO_MODEL_CACHE=1.
-        let cache_path = std::env::temp_dir().join(format!(
-            "lejit-bench-model-{}.bin",
-            format!("{scale:?}").to_lowercase()
-        ));
+        // Trained-model cache, keyed by everything that shapes the model
+        // (see `model_cache_path`), so a change to the corpus or to any
+        // training hyper-parameter trains afresh instead of silently
+        // reusing a stale model. Disable with LEJIT_NO_MODEL_CACHE=1.
+        let spec = TrainSpec::for_scale(scale);
+        let cache_path = model_cache_path(scale, &texts, &spec);
         let cache_enabled = std::env::var("LEJIT_NO_MODEL_CACHE").is_err();
-        if cache_enabled {
-            if let Ok(m) = TinyGpt::load_from_path(&cache_path) {
-                if m.vocab().chars() == vocab.chars() {
-                    let mined =
-                        mine_rules(&dataset.train, dataset.bandwidth, MinerConfig::default());
-                    let manual = manual_rules(dataset.bandwidth);
-                    let paper = paper_rules(dataset.bandwidth);
-                    let mut coarse_hi = [0i64; 6];
-                    for f in CoarseField::ALL {
-                        coarse_hi[f.index()] = dataset.train_max(f).max(1);
-                    }
-                    return BenchEnv {
-                        scale,
-                        dataset,
-                        gpt: m,
-                        mined,
-                        manual,
-                        paper,
-                        coarse_hi,
-                        threads,
-                        batch,
-                    };
-                }
-            }
-        }
-
-        let mut gpt = TinyGpt::new(
-            GptConfig {
-                d_model: 48,
-                n_layers: 2,
-                n_heads: 2,
-                max_seq_len: 96,
-            },
-            vocab,
-            0x6E71,
-        );
-        let mut rng = StdRng::seed_from_u64(0x7EA1);
-        let adam = AdamConfig {
-            lr: 3e-3,
-            warmup_steps: 30,
-            total_steps: scale.train_steps(),
-            ..AdamConfig::default()
+        let cached = if cache_enabled {
+            TinyGpt::load_from_path(&cache_path)
+                .ok()
+                .filter(|m| m.vocab().chars() == vocab.chars())
+        } else {
+            None
         };
-        gpt.train(&sequences, scale.train_steps(), 4, adam, &mut rng);
-        if cache_enabled {
-            if let Err(e) = gpt.save_to_path(&cache_path) {
-                eprintln!("warning: could not cache model: {e}");
+        let gpt = match cached {
+            Some(m) => m,
+            None => {
+                let mut gpt = TinyGpt::new(spec.gpt, vocab, spec.init_seed);
+                let mut rng = StdRng::seed_from_u64(spec.data_seed);
+                gpt.train(&sequences, spec.steps, spec.batch, spec.adam, &mut rng);
+                if cache_enabled {
+                    if let Err(e) = save_model_atomically(&gpt, &cache_path) {
+                        eprintln!("warning: could not cache model: {e}");
+                    }
+                }
+                gpt
             }
-        }
+        };
 
         let mined = mine_rules(&dataset.train, dataset.bandwidth, MinerConfig::default());
         let manual = manual_rules(dataset.bandwidth);
@@ -262,5 +237,135 @@ impl BenchEnv {
     pub fn eval_windows(&self) -> &[lejit_telemetry::Window] {
         let n = self.scale.eval_windows().min(self.dataset.test.len());
         &self.dataset.test[..n]
+    }
+}
+
+/// Version of the model-cache key. Bump it when the training code changes
+/// in a way the hashed inputs below cannot see.
+const MODEL_CACHE_VERSION: u32 = 1;
+
+/// Everything besides the corpus that shapes the trained model:
+/// architecture, seeds and optimizer schedule. Hashed into the cache key.
+#[derive(Clone, Copy, Debug)]
+struct TrainSpec {
+    gpt: GptConfig,
+    init_seed: u64,
+    data_seed: u64,
+    steps: u64,
+    batch: usize,
+    adam: AdamConfig,
+}
+
+impl TrainSpec {
+    fn for_scale(scale: Scale) -> TrainSpec {
+        let steps = scale.train_steps();
+        TrainSpec {
+            gpt: GptConfig {
+                d_model: 48,
+                n_layers: 2,
+                n_heads: 2,
+                max_seq_len: 96,
+            },
+            init_seed: 0x6E71,
+            data_seed: 0x7EA1,
+            steps,
+            batch: 4,
+            adam: AdamConfig {
+                lr: 3e-3,
+                warmup_steps: 30,
+                total_steps: steps,
+                ..AdamConfig::default()
+            },
+        }
+    }
+}
+
+/// The cache file for a model trained on `texts` under `spec`:
+/// `$TMPDIR/lejit-bench-model-<scale>-<key>.bin`, where `key` is a 64-bit
+/// FNV-1a hash of the cache version, the corpus and the training spec.
+fn model_cache_path(scale: Scale, texts: &[String], spec: &TrainSpec) -> PathBuf {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut feed = |bytes: &[u8]| {
+        for &b in bytes {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    feed(&MODEL_CACHE_VERSION.to_le_bytes());
+    for t in texts {
+        feed(t.as_bytes());
+        feed(b"\n");
+    }
+    feed(format!("{spec:?}").as_bytes());
+    std::env::temp_dir().join(format!("lejit-bench-model-{}-{h:016x}.bin", scale.name()))
+}
+
+/// Writes `gpt` to `path` by way of a temporary file in the same
+/// directory that is flushed, synced and then renamed over `path`, so a
+/// concurrent reader sees either no file or a complete one.
+fn save_model_atomically(gpt: &TinyGpt, path: &Path) -> io::Result<()> {
+    let tmp = path.with_extension(format!("tmp{}", std::process::id()));
+    let write = || -> io::Result<()> {
+        let mut w = io::BufWriter::new(fs::File::create(&tmp)?);
+        gpt.save(&mut w)?;
+        w.flush()?;
+        w.get_ref().sync_all()?;
+        fs::rename(&tmp, path)
+    };
+    let result = write();
+    if result.is_err() {
+        let _ = fs::remove_file(&tmp);
+    }
+    result
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn changing_a_training_input_misses_the_model_cache() {
+        let texts = vec!["T=120;E=8.".to_string(), "T=90;E=0.".to_string()];
+        let spec = TrainSpec::for_scale(Scale::Tiny);
+        let base = model_cache_path(Scale::Tiny, &texts, &spec);
+        assert_eq!(base, model_cache_path(Scale::Tiny, &texts, &spec));
+
+        let mut lr = spec;
+        lr.adam.lr *= 2.0;
+        let mut steps = spec;
+        steps.steps += 1;
+        let mut width = spec;
+        width.gpt.d_model += 8;
+        let mut corpus = texts.clone();
+        corpus[1].push('1');
+        for other in [
+            model_cache_path(Scale::Tiny, &texts, &lr),
+            model_cache_path(Scale::Tiny, &texts, &steps),
+            model_cache_path(Scale::Tiny, &texts, &width),
+            model_cache_path(Scale::Tiny, &corpus, &spec),
+            model_cache_path(Scale::Quick, &texts, &spec),
+        ] {
+            assert_ne!(base, other);
+        }
+    }
+
+    #[test]
+    fn atomic_save_round_trips_and_leaves_no_temp_file() {
+        let vocab = Vocab::from_corpus("T=0123456789;.");
+        let cfg = GptConfig {
+            d_model: 8,
+            n_layers: 1,
+            n_heads: 1,
+            max_seq_len: 8,
+        };
+        let gpt = TinyGpt::new(cfg, vocab, 1);
+        let path =
+            std::env::temp_dir().join(format!("lejit-bench-model-test-{}.bin", std::process::id()));
+        save_model_atomically(&gpt, &path).unwrap();
+        let back = TinyGpt::load_from_path(&path).unwrap();
+        assert_eq!(back.vocab().chars(), gpt.vocab().chars());
+        assert!(!path
+            .with_extension(format!("tmp{}", std::process::id()))
+            .exists());
+        fs::remove_file(&path).unwrap();
     }
 }

@@ -89,15 +89,14 @@ pub struct DecodeStats {
     pub solver_pivots: u64,
     /// Branch-and-bound nodes explored across all theory checks.
     pub solver_bnb_nodes: u64,
-    /// DPLL(T) theory checks answered from the solver's verdict memo
-    /// without touching the tableau.
+    /// Retired, always 0: the solver's theory-verdict memo was removed
+    /// (cloning its key on every miss cost more than its rare hits saved).
+    /// Kept so readers of the old field still build.
     pub theory_memo_hits: u64,
-    /// Atom literals the theory propagator enqueued on the SAT trail (bound
-    /// consequences derived between unit propagation and each decision).
+    /// Retired, always 0: theory propagation inside the SAT search was
+    /// removed (it was measured as a net cost on every workload). Kept so
+    /// readers of the old field still build.
     pub theory_propagations: u64,
-    /// Theory reason clauses materialized on demand during conflict
-    /// analysis (a subset of `theory_propagations`).
-    pub theory_explanations: u64,
     /// Tseitin encode-cache hits (terms answered without fresh clauses).
     pub encode_cache_hits: u64,
     /// Tseitin encode-cache misses (terms paying for a fresh encoding).
@@ -133,15 +132,6 @@ impl DecodeStats {
         self.solver_bnb_nodes = self
             .solver_bnb_nodes
             .saturating_sub(baseline.solver_bnb_nodes);
-        self.theory_memo_hits = self
-            .theory_memo_hits
-            .saturating_sub(baseline.theory_memo_hits);
-        self.theory_propagations = self
-            .theory_propagations
-            .saturating_sub(baseline.theory_propagations);
-        self.theory_explanations = self
-            .theory_explanations
-            .saturating_sub(baseline.theory_explanations);
         self.encode_cache_hits = self
             .encode_cache_hits
             .saturating_sub(baseline.encode_cache_hits);
@@ -352,9 +342,6 @@ pub(crate) fn fill_session_stats(session: &JitSession, stats: &mut DecodeStats) 
     let s = session.solver().stats();
     stats.solver_pivots = s.pivots;
     stats.solver_bnb_nodes = s.bnb_nodes;
-    stats.theory_memo_hits = s.theory_memo_hits;
-    stats.theory_propagations = s.theory_propagations;
-    stats.theory_explanations = s.theory_explanations;
     stats.encode_cache_hits = s.encode_cache_hits;
     stats.encode_cache_misses = s.encode_cache_misses;
     stats.pool_hits = s.pool_hits;
@@ -783,9 +770,6 @@ pub(crate) mod tests {
             // lane-local: batching regroups model calls, never solver work.
             assert_eq!(s.stats.solver_pivots, g.stats.solver_pivots);
             assert_eq!(s.stats.solver_bnb_nodes, g.stats.solver_bnb_nodes);
-            assert_eq!(s.stats.theory_memo_hits, g.stats.theory_memo_hits);
-            assert_eq!(s.stats.theory_propagations, g.stats.theory_propagations);
-            assert_eq!(s.stats.theory_explanations, g.stats.theory_explanations);
             assert_eq!(s.stats.encode_cache_hits, g.stats.encode_cache_hits);
             assert_eq!(s.stats.encode_cache_misses, g.stats.encode_cache_misses);
         }

@@ -54,14 +54,6 @@ pub struct TaskConfig {
     /// record per model call). Like `threads`, purely a throughput knob:
     /// output is byte-identical for every value.
     pub batch_size: usize,
-    /// Whether solver sessions built by the tasks run theory propagation
-    /// inside the SAT search ([`lejit_smt::TheoryConfig::propagate`]; on by
-    /// default). Decode outputs are byte-identical either way — propagated
-    /// atoms are *entailed* by the asserted bounds, so only the solver's
-    /// internal search path (and its cost profile) changes. The off
-    /// position is the oracle for the differential tests and the A1
-    /// ablation's off-row.
-    pub theory_propagate: bool,
 }
 
 impl Default for TaskConfig {
@@ -72,18 +64,8 @@ impl Default for TaskConfig {
             rejection_budget: 10_000,
             threads: 0,
             batch_size: 1,
-            theory_propagate: true,
         }
     }
-}
-
-/// Applies the task-level theory knobs ([`TaskConfig::theory_propagate`])
-/// to a session this task is about to decode with — fresh or pooled alike,
-/// so a warm session acquired from a pool cannot carry a stale setting.
-fn apply_theory_config(config: &TaskConfig, session: &mut JitSession) {
-    let mut cfg = session.solver_mut().theory_config();
-    cfg.propagate = config.theory_propagate;
-    session.solver_mut().set_theory_config(cfg);
 }
 
 /// Errors from task-level pipelines.
@@ -165,7 +147,6 @@ impl<'m, M: LanguageModel> Imputer<'m, M> {
     pub fn build_session(&self, coarse: &CoarseSignals) -> (JitSession, DecodeSchema) {
         let schema = self.schema();
         let mut session = JitSession::new(&schema);
-        apply_theory_config(&self.config, &mut session);
         self.ground_in(&mut session, coarse);
         (session, schema)
     }
@@ -284,7 +265,6 @@ impl<'m, M: LanguageModel> Imputer<'m, M> {
             mut session,
             baseline,
         } = pool.acquire(self.pool_key(), || JitSession::new(&schema));
-        apply_theory_config(&self.config, &mut session);
         let cp = session.checkpoint();
         self.ground_in(&mut session, coarse);
         session.invalidate_derived();
@@ -485,7 +465,6 @@ impl<'m, M: LanguageModel> Synthesizer<'m, M> {
     pub fn build_session(&self) -> (JitSession, DecodeSchema) {
         let schema = self.schema();
         let mut session = JitSession::new(&schema);
-        apply_theory_config(&self.config, &mut session);
         let solver = session.solver_mut();
         let coarse_terms: Vec<TermId> = CoarseField::ALL
             .into_iter()

@@ -72,10 +72,9 @@ fn paper_session() -> (JitSession, DecodeSchema) {
 /// A node budget of zero starves every theory check before its first
 /// branch-and-bound node.
 fn starve(session: &mut JitSession) {
-    session.solver_mut().set_theory_config(TheoryConfig {
-        max_nodes: 0,
-        ..TheoryConfig::default()
-    });
+    session
+        .solver_mut()
+        .set_theory_config(TheoryConfig { max_nodes: 0 });
 }
 
 #[test]

@@ -36,7 +36,7 @@
 //! response; nothing is lost or duplicated.
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -200,18 +200,80 @@ impl LaneJob for ServeJob {
     }
 }
 
+/// Longest request line the server accepts, in bytes, newline excluded.
+/// A longer line is answered with `bad_request` and discarded up to its
+/// newline; the connection stays usable.
+pub const MAX_REQUEST_LINE_BYTES: usize = 1 << 20;
+
 /// Writes one response line under the connection's write lock (the whole
 /// line, including the newline, inside one lock hold — concurrent writers
-/// interleave lines, never bytes). Write errors mean the client left;
-/// the decode result is simply dropped.
-fn write_line(conn: &Mutex<TcpStream>, line: &str) {
+/// interleave lines, never bytes). The line and its newline go out in a
+/// single `write_all`: a separate one-byte newline write would sit behind
+/// the peer's delayed ACK on a Nagle-enabled socket. Write errors mean the
+/// client left; the decode result is simply dropped.
+fn write_line<W: Write>(conn: &Mutex<W>, line: &str) {
+    let mut buf = Vec::with_capacity(line.len() + 1);
+    buf.extend_from_slice(line.as_bytes());
+    buf.push(b'\n');
     let mut stream = match conn.lock() {
         Ok(g) => g,
         Err(poisoned) => poisoned.into_inner(),
     };
-    let _ = stream.write_all(line.as_bytes());
-    let _ = stream.write_all(b"\n");
+    let _ = stream.write_all(&buf);
     let _ = stream.flush();
+}
+
+/// One request line read under [`MAX_REQUEST_LINE_BYTES`].
+enum ReadLine {
+    /// A line (trailing `\n` / `\r\n` stripped) is in the buffer.
+    Line,
+    /// The line was longer than the cap; it has been discarded.
+    TooLong,
+    /// The peer closed the connection.
+    Eof,
+}
+
+/// Reads one line into `buf` (cleared first), keeping at most `cap` bytes
+/// of it. An over-long line is consumed up to and including its newline
+/// without being stored, so memory stays bounded by `cap` per connection.
+fn read_line_capped<R: BufRead>(
+    reader: &mut R,
+    buf: &mut Vec<u8>,
+    cap: usize,
+) -> io::Result<ReadLine> {
+    buf.clear();
+    let limit = u64::try_from(cap).unwrap_or(u64::MAX).saturating_add(1);
+    if reader.by_ref().take(limit).read_until(b'\n', buf)? == 0 {
+        return Ok(ReadLine::Eof);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+        return Ok(ReadLine::Line);
+    }
+    if buf.len() <= cap {
+        // The stream ended mid-line: serve the unterminated last line.
+        return Ok(ReadLine::Line);
+    }
+    buf.clear();
+    loop {
+        let (found, used) = {
+            let chunk = reader.fill_buf()?;
+            if chunk.is_empty() {
+                return Ok(ReadLine::TooLong);
+            }
+            match chunk.iter().position(|&b| b == b'\n') {
+                Some(i) => (true, i + 1),
+                None => (false, chunk.len()),
+            }
+        };
+        reader.consume(used);
+        if found {
+            return Ok(ReadLine::TooLong);
+        }
+    }
 }
 
 /// Which connections a shard must route chunk events to: `tag →
@@ -344,16 +406,30 @@ impl<M: LanguageModel + Sync> Server<M> {
     /// requests are admitted onto the queue or refused with a typed
     /// response.
     fn serve_conn(&self, stream: TcpStream, conn: Arc<Mutex<TcpStream>>, addr: SocketAddr) {
-        let reader = BufReader::new(stream);
-        for line in reader.lines() {
-            let line = match line {
-                Ok(l) => l,
-                Err(_) => break,
+        let mut reader = BufReader::new(stream);
+        let mut buf = Vec::new();
+        loop {
+            match read_line_capped(&mut reader, &mut buf, MAX_REQUEST_LINE_BYTES) {
+                Ok(ReadLine::Line) => {}
+                Ok(ReadLine::TooLong) => {
+                    write_line(
+                        &conn,
+                        &render_bad_request(&format!(
+                            "request line exceeds {MAX_REQUEST_LINE_BYTES} bytes"
+                        )),
+                    );
+                    continue;
+                }
+                Ok(ReadLine::Eof) | Err(_) => break,
+            }
+            let Ok(line) = std::str::from_utf8(&buf) else {
+                write_line(&conn, &render_bad_request("request line is not UTF-8"));
+                continue;
             };
             if line.trim().is_empty() {
                 continue;
             }
-            match parse_line(&line) {
+            match parse_line(line) {
                 Err(detail) => write_line(&conn, &render_bad_request(&detail)),
                 Ok(Op::Ping) => write_line(&conn, &render_pong()),
                 Ok(Op::Stats) => {
@@ -591,5 +667,52 @@ impl<M: LanguageModel + Sync> Server<M> {
             });
         }
         *seen = now;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A writer that records each `write` call separately.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_line_sends_line_and_newline_in_one_write() {
+        let conn = Mutex::new(CountingWriter::default());
+        write_line(&conn, "first");
+        write_line(&conn, "second");
+        let w = conn.into_inner().unwrap();
+        assert_eq!(w.writes, [b"first\n".to_vec(), b"second\n".to_vec()]);
+    }
+
+    #[test]
+    fn capped_reader_discards_oversized_lines_and_keeps_going() {
+        let input = b"short\r\n0123456789abcdef\nok\nlast".to_vec();
+        let mut reader = BufReader::with_capacity(4, &input[..]);
+        let mut buf = Vec::new();
+        let mut got = Vec::new();
+        loop {
+            match read_line_capped(&mut reader, &mut buf, 8).unwrap() {
+                ReadLine::Line => got.push(String::from_utf8(buf.clone()).unwrap()),
+                ReadLine::TooLong => got.push("<too long>".to_string()),
+                ReadLine::Eof => break,
+            }
+        }
+        assert_eq!(got, ["short", "<too long>", "ok", "last"]);
     }
 }

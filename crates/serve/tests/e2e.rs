@@ -11,6 +11,7 @@ use lejit_core::{record_seed, Imputer, TaskConfig};
 use lejit_lm::{NgramLm, Vocab};
 use lejit_rules::{parse_rules, RuleSet};
 use lejit_serve::protocol::render_ok;
+use lejit_serve::server::MAX_REQUEST_LINE_BYTES;
 use lejit_serve::{ServeConfig, Server};
 use lejit_telemetry::{
     encode_imputation_example, generate, CoarseSignals, Dataset, TelemetryConfig,
@@ -305,4 +306,38 @@ fn graceful_drain_answers_everything_admitted_then_refuses() {
         TcpStream::connect(addr).is_err(),
         "server still accepting after drain"
     );
+}
+
+#[test]
+fn oversized_request_line_gets_bad_request_and_connection_survives() {
+    let d = dataset();
+    let server = Server::new(imputation_model(&d), rules(), config(&d));
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    std::thread::scope(|s| {
+        let run = s.spawn(|| server.run(listener).unwrap());
+        let (mut reader, mut stream) = connect(addr);
+        // One byte past the cap, sent from a second thread so the server's
+        // answer can be read while the tail of the line is still arriving.
+        let oversized = vec![b'x'; MAX_REQUEST_LINE_BYTES + 1];
+        let mut writer = stream.try_clone().unwrap();
+        let send = s.spawn(move || {
+            writer.write_all(&oversized).unwrap();
+            writer.write_all(b"\n").unwrap();
+            writeln!(writer, r#"{{"op":"ping"}}"#).unwrap();
+        });
+        let lines = read_lines(&mut reader, 2);
+        send.join().unwrap();
+        let bad = serde_json::parse_value(&lines[0]).unwrap();
+        assert_eq!(
+            bad["error"],
+            Value::String("bad_request".to_string()),
+            "{}",
+            lines[0]
+        );
+        assert_eq!(lines[1], r#"{"ok":true,"pong":true}"#);
+        stream.flush().unwrap();
+        shutdown(addr);
+        run.join().unwrap();
+    });
 }

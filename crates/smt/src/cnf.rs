@@ -31,8 +31,11 @@ pub struct Encoder {
     cache: BTreeMap<TermId, Lit>,
     /// SAT variable and registry index per canonical theory atom.
     atom_vars: BTreeMap<LinAtom, (SatVar, u32)>,
-    /// Registry: every theory atom with its SAT variable, in allocation order.
-    atoms: Vec<(LinAtom, SatVar)>,
+    /// Registry: every theory atom in allocation order. Append-only, so an
+    /// index names the same atom for the encoder's lifetime.
+    atoms: Vec<LinAtom>,
+    /// SAT variable per registry atom, parallel to `atoms`.
+    atom_sat_vars: Vec<SatVar>,
     /// Scope of each `And`/`Or` term's definitional clauses: `None` means
     /// permanent (emitted at the root, outside any frame); `Some(id)` means
     /// guarded by the frame with that *generation id* — live exactly while
@@ -67,9 +70,14 @@ impl Encoder {
         Encoder::default()
     }
 
-    /// The theory-atom registry: `(atom, sat_var)` pairs.
-    pub fn atoms(&self) -> &[(LinAtom, SatVar)] {
+    /// The theory-atom registry, in allocation order (append-only).
+    pub fn atoms(&self) -> &[LinAtom] {
         &self.atoms
+    }
+
+    /// The SAT variable of each registry atom, parallel to [`Self::atoms`].
+    pub fn atom_sat_vars(&self) -> &[SatVar] {
+        &self.atom_sat_vars
     }
 
     /// The SAT variable for a boolean problem variable, if encoded.
@@ -150,7 +158,8 @@ impl Encoder {
                             let sv = sat.new_var();
                             let idx = self.atoms.len() as u32;
                             self.atom_vars.insert(atom.clone(), (sv, idx));
-                            self.atoms.push((atom, sv));
+                            self.atoms.push(atom);
+                            self.atom_sat_vars.push(sv);
                             sv
                         }
                     };

@@ -86,10 +86,8 @@ pub mod theory;
 pub use error::SolverError;
 pub use linear::{LinAtom, LinExpr};
 pub use rational::Rational;
-pub use sat::{Lit, SatSolver, SatStats, SatVar, TheoryPropagator};
+pub use sat::{Lit, SatSolver, SatStats, SatVar};
 pub use smtlib::{run_script, ScriptOutput, SmtLibError};
 pub use solver::{IntervalMap, Model, SatResult, Solver, SolverStats, VarBounds};
 pub use term::{Sort, Term, TermId, TermPool, VarId, VarInfo};
-pub use theory::{
-    check_conjunction, TheoryConfig, TheoryPropagation, TheorySession, TheoryStats, TheoryVerdict,
-};
+pub use theory::{check_conjunction, TheoryConfig, TheorySession, TheoryStats, TheoryVerdict};

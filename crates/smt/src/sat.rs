@@ -145,62 +145,16 @@ pub struct SatStats {
     /// Learnt clauses evicted by reduction (root-satisfied leftovers plus
     /// the low-activity half).
     pub learnts_evicted: u64,
-    /// Literals enqueued by the theory propagator ([`TheoryPropagator`])
-    /// instead of by a decision or a clause.
-    pub theory_propagations: u64,
-    /// Theory reason clauses materialized on demand during conflict
-    /// analysis (a subset of `theory_propagations`: only propagated
-    /// literals actually resolved on during 1-UIP need an explanation).
-    pub theory_explanations: u64,
 }
 
-/// Why a trail literal holds: it is a decision/assumption (`None`), it was
-/// implied by a clause, or it was implied by the theory propagator and its
-/// reason clause will be materialized lazily if conflict analysis ever
-/// resolves on it.
+/// Why a trail literal holds: it is a decision/assumption (`None`) or it
+/// was implied by a clause.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Reason {
     /// A decision, an assumption, or an unassigned variable.
     None,
     /// Implied by a clause (unit propagation or an asserting learnt).
     Clause(ClauseRef),
-    /// Implied by the theory propagator; explanation is generated on demand.
-    Theory,
-}
-
-/// A theory plug-in consulted by [`SatSolver::solve_with`] between unit
-/// propagation and branching: it may derive literals implied by the theory
-/// under the current assignment, which the SAT core enqueues on the trail
-/// with a lazy theory reason.
-///
-/// Consultation happens at the *search root* — unit propagation at a
-/// fixpoint, every assumption placed, no decisions on the trail — once per
-/// solve plus once per backjump past the assumption boundary. A consult is
-/// O(asserted + candidate atoms), so running it after every decision's
-/// fixpoint would dominate wall time; at the root it prices in where the
-/// payoff is, pre-placing the consequences of unit-asserted facts below
-/// the whole search.
-///
-/// # Contract
-///
-/// * [`Self::propagate`] must return implied literals in a deterministic
-///   order, and every antecedent of an implied literal must already be
-///   assigned on the trail (the SAT core enqueues the implied literal
-///   *after* its antecedents, which first-UIP analysis relies on).
-/// * [`Self::explain`] must return the reason clause for a literal it
-///   previously returned from `propagate`: the implied literal in slot 0,
-///   followed by the negated antecedents, every one of which was false on
-///   the trail when the literal was enqueued. The clause must be valid
-///   independently of the current assignment (a theory lemma).
-pub trait TheoryPropagator {
-    /// Derives literals implied by the theory under the current assignment.
-    /// Returning a literal that is already assigned is allowed (it is
-    /// skipped); returning an unallocated variable is an error.
-    fn propagate(&mut self, sat: &SatSolver) -> Result<Vec<Lit>, SolverError>;
-
-    /// The reason clause for a literal previously returned by
-    /// [`Self::propagate`], with the implied literal in slot 0.
-    fn explain(&mut self, lit: Lit) -> Result<Vec<Lit>, SolverError>;
 }
 
 /// The CDCL SAT solver.
@@ -353,32 +307,6 @@ impl SatSolver {
             LBool::False => Some(false),
             LBool::Undef => None,
         }
-    }
-
-    /// Whether a variable's current assignment came from the theory
-    /// propagator (and has not yet been rewritten to a learnt reason
-    /// clause by conflict analysis).
-    ///
-    /// The SMT layer uses this to *exclude* theory-propagated literals from
-    /// the conjunction it hands to the theory check: such a literal is
-    /// entailed by the ordinary assertions below it on the trail, so
-    /// re-asserting it into the tableau cannot change the verdict — it only
-    /// inflates the check (one no-op bound assert per propagated literal)
-    /// and splits the theory-verdict memo key away from the
-    /// propagation-off fingerprint.
-    pub fn reason_is_theory(&self, v: SatVar) -> bool {
-        self.assigns[v.index()] != LBool::Undef && self.reason[v.index()] == Reason::Theory
-    }
-
-    /// Whether a variable occurs in at least one live attached clause.
-    ///
-    /// Zero-occurrence variables are don't-cares: `pick_branch` never
-    /// decides them, no watched clause reacts to them, and assigning them
-    /// cannot produce a unit propagation or a conflict. A theory propagator
-    /// can therefore skip them when choosing candidates — enqueueing a
-    /// zero-occurrence literal is pure trail traffic with no search effect.
-    pub fn is_branchable(&self, v: SatVar) -> bool {
-        self.occ.get(v.index()).is_some_and(|&n| n > 0)
     }
 
     /// The model value of a variable after a `Sat` outcome.
@@ -654,62 +582,13 @@ impl SatSolver {
         }
     }
 
-    /// Materializes the reason clause of a theory-implied literal, on
-    /// demand: conflict analysis is about to resolve on `pl`, so the lazy
-    /// [`Reason::Theory`] marker must become a real clause.
-    ///
-    /// The clause is attached as a learnt (it is a theory lemma, valid
-    /// beyond this conflict) and installed as `pl`'s reason so later
-    /// resolutions and `is_reason` bookkeeping see an ordinary clause.
-    /// Attaching mid-analysis is sound even though the watched literals may
-    /// be false under the current assignment: a fully falsified clause is
-    /// always scanned when its last watch falsifies, so the clause can only
-    /// miss *early* unit propagations, never a conflict.
-    fn explain_theory(
-        &mut self,
-        pl: Lit,
-        prop: &mut Option<&mut dyn TheoryPropagator>,
-    ) -> Result<ClauseRef, SolverError> {
-        let Some(p) = prop.as_deref_mut() else {
-            return Err(SolverError::Internal(
-                "theory-implied literal resolved without a propagator",
-            ));
-        };
-        let expl = p.explain(pl)?;
-        if expl.first() != Some(&pl) {
-            return Err(SolverError::Internal(
-                "theory explanation must start with the implied literal",
-            ));
-        }
-        // A unit explanation cannot occur: a propagation above the root
-        // level always carries a frame guard or an antecedent literal (see
-        // the propagator contract), and root-level literals are never
-        // resolved on.
-        if expl.len() < 2 {
-            return Err(SolverError::Internal(
-                "theory explanation for a non-root literal has no antecedents",
-            ));
-        }
-        self.stats.theory_explanations += 1;
-        let cr = self.attach_clause(expl, true);
-        self.reason[pl.var().index()] = Reason::Clause(cr);
-        Ok(cr)
-    }
-
     /// First-UIP conflict analysis. Returns the learnt clause (asserting
     /// literal first) and the backtrack level.
-    ///
-    /// Resolving on a theory-implied literal materializes its reason clause
-    /// lazily via `prop` ([`Self::explain_theory`]).
     ///
     /// `Err` signals a broken trail invariant (a resolved non-decision
     /// literal without a reason clause); reported instead of panicking
     /// because this is the innermost loop of every `check()`.
-    fn analyze(
-        &mut self,
-        mut conflict: ClauseRef,
-        prop: &mut Option<&mut dyn TheoryPropagator>,
-    ) -> Result<(Vec<Lit>, u32), SolverError> {
+    fn analyze(&mut self, mut conflict: ClauseRef) -> Result<(Vec<Lit>, u32), SolverError> {
         let mut learnt: Vec<Lit> = vec![Lit::new(SatVar(0), true)]; // placeholder slot 0
         let mut path_count = 0u32;
         let mut p: Option<Lit> = None;
@@ -747,7 +626,6 @@ impl SatSolver {
             }
             conflict = match self.reason[pl.var().index()] {
                 Reason::Clause(r) => r,
-                Reason::Theory => self.explain_theory(pl, prop)?,
                 Reason::None => {
                     return Err(SolverError::Internal(
                         "resolved non-decision literal has no reason clause",
@@ -762,9 +640,6 @@ impl SatSolver {
         learnt[0] = !uip;
 
         // Simple clause minimization: drop literals implied by the rest.
-        // Theory-implied literals with an unmaterialized reason are simply
-        // kept — sound, and materializing just for minimization would cost
-        // more than the literal saves.
         let mut keep = vec![true; learnt.len()];
         for i in 1..learnt.len() {
             let v = learnt[i].var();
@@ -907,23 +782,6 @@ impl SatSolver {
     /// database is malformed (see [`Self::add_clause`]) or an internal
     /// invariant broke mid-search. This is distinct from `Unsat`.
     pub fn solve(&mut self, assumptions: &[Lit]) -> Result<SatOutcome, SolverError> {
-        self.solve_with(assumptions, None)
-    }
-
-    /// [`Self::solve`] with an optional [`TheoryPropagator`].
-    ///
-    /// When `prop` is `Some`, the propagator is consulted at the search
-    /// root: unit propagation at a fixpoint, all assumptions placed, and
-    /// no decisions taken (see [`TheoryPropagator`] for why not deeper).
-    /// Implied literals it returns are enqueued with a lazy theory reason
-    /// (`Reason::Theory`); the reason clause is only materialized (via
-    /// [`TheoryPropagator::explain`]) if conflict analysis resolves on the
-    /// literal.
-    pub fn solve_with(
-        &mut self,
-        assumptions: &[Lit],
-        mut prop: Option<&mut dyn TheoryPropagator>,
-    ) -> Result<SatOutcome, SolverError> {
         if let Some(e) = self.invalid {
             return Err(e);
         }
@@ -960,7 +818,7 @@ impl SatSolver {
                 // falsifies an assumption, the decision loop below will see
                 // the assumption valued `False` when re-placing it and
                 // report unsatisfiability.
-                let (learnt, bt) = self.analyze(confl, &mut prop)?;
+                let (learnt, bt) = self.analyze(confl)?;
                 self.cancel_until(bt);
                 self.learn(learnt);
                 self.var_inc *= VAR_DECAY;
@@ -994,45 +852,6 @@ impl SatSolver {
                         }
                     }
                     continue;
-                }
-                // Theory propagation: with unit propagation at a fixpoint
-                // and every assumption placed, ask the theory for bound
-                // consequences of the current assignment before branching.
-                // Each implied literal is enqueued with a lazy reason; the
-                // `continue` re-enters unit propagation, so the loop
-                // terminates because every round either assigns at least
-                // one new literal or falls through to `pick_branch`.
-                //
-                // Consultation is restricted to the *search root* (no
-                // decisions on the trail, only assumptions): a consult
-                // re-asserts every asserted atom into the tableau and
-                // scans the whole candidate registry, so running it after
-                // every decision's fixpoint costs O(atoms) per decision
-                // and dominates wall time. At the root it fires once per
-                // solve (plus once per backjump past the assumption
-                // boundary), which is where the payoff lives anyway: the
-                // consequences of unit-asserted facts reach the trail
-                // before any search happens above them.
-                if dl == assumptions.len() {
-                    if let Some(p) = prop.as_deref_mut() {
-                        let implied = p.propagate(&*self)?;
-                        let mut enqueued = false;
-                        for l in implied {
-                            if l.var().index() >= self.assigns.len() {
-                                return Err(SolverError::Internal(
-                                    "theory propagator implied an unallocated variable",
-                                ));
-                            }
-                            if self.value_lit(l) == LBool::Undef {
-                                self.stats.theory_propagations += 1;
-                                self.unchecked_enqueue(l, Reason::Theory);
-                                enqueued = true;
-                            }
-                        }
-                        if enqueued {
-                            continue;
-                        }
-                    }
                 }
                 match self.pick_branch() {
                     None => return Ok(SatOutcome::Sat),

@@ -156,31 +156,6 @@ impl Simplex {
         self.value[v]
     }
 
-    /// The asserted lower bound of `v` (value and asserting tag), if any.
-    ///
-    /// Used by theory propagation to test bound subsumption without
-    /// touching the tableau; the tag identifies the asserting atom for
-    /// explanation generation. Returns `None` for unbounded or unallocated
-    /// variables.
-    pub fn lower_bound(&self, v: SVar) -> Option<(Rational, BoundTag)> {
-        self.lower
-            .get(v)
-            .copied()
-            .flatten()
-            .map(|b| (b.value, b.tag))
-    }
-
-    /// The asserted upper bound of `v` (value and asserting tag), if any.
-    ///
-    /// Counterpart of [`Self::lower_bound`].
-    pub fn upper_bound(&self, v: SVar) -> Option<(Rational, BoundTag)> {
-        self.upper
-            .get(v)
-            .copied()
-            .flatten()
-            .map(|b| (b.value, b.tag))
-    }
-
     /// A snapshot token for [`Self::undo_to`].
     pub fn snapshot(&self) -> usize {
         self.trail.len()

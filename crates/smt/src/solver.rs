@@ -23,8 +23,7 @@ use std::collections::BTreeMap;
 
 use crate::cnf::Encoder;
 use crate::error::SolverError;
-use crate::linear::LinAtom;
-use crate::sat::{Lit, SatOutcome, SatSolver, SatStats, SatVar, TheoryPropagator};
+use crate::sat::{Lit, SatOutcome, SatSolver, SatStats};
 use crate::term::{Sort, Term, TermId, TermPool, VarId};
 use crate::theory::{TheoryConfig, TheorySession, TheoryVerdict};
 
@@ -108,14 +107,10 @@ impl Model {
 pub struct SolverStats {
     /// `check()` calls (including internal ones from minimize/maximize).
     pub checks: u64,
-    /// DPLL(T) iterations: SAT models proposed to the theory (including
-    /// those answered by the verdict memo).
+    /// DPLL(T) iterations: SAT models proposed to the theory.
     pub theory_checks: u64,
     /// Theory conflicts (blocking clauses learned).
     pub theory_conflicts: u64,
-    /// DPLL(T) iterations answered by the theory-verdict memo without
-    /// touching the tableau (a subset of `theory_checks`).
-    pub theory_memo_hits: u64,
     /// Tableau (re)build rounds in the theory session. A warm session
     /// builds once per declared-variable set; the historical fresh-per-check
     /// backend would count one per theory check.
@@ -124,7 +119,8 @@ pub struct SolverStats {
     pub tableau_vars: u64,
     /// Slack rows translated and added to the tableau (interning misses).
     pub slack_rows_built: u64,
-    /// Atom translations served by an already-interned slack row.
+    /// Multi-variable literal asserts served by an already-interned slack
+    /// row.
     pub slack_row_hits: u64,
     /// Simplex pivots performed.
     pub pivots: u64,
@@ -143,35 +139,6 @@ pub struct SolverStats {
     /// Pool evictions attributed to this solver's acquisition (sessions the
     /// pool dropped to stay within its per-key cap since the last acquire).
     pub pool_evictions: u64,
-    /// Atom literals enqueued on the SAT trail by theory propagation —
-    /// bound consequences the warm tableau derived between unit propagation
-    /// and the next decision, instead of a later full check refuting them.
-    ///
-    /// ```
-    /// use lejit_smt::{SatResult, Solver};
-    ///
-    /// let mut s = Solver::new();
-    /// let x = s.int_var("x", 0, 10);
-    /// let tx = s.var(x);
-    /// let c3 = s.int(3);
-    /// let le3 = s.le(tx, c3);
-    /// s.assert(le3);
-    /// // x ≤ 3 entails x ≤ 5 and refutes x ≥ 7: with propagation on (the
-    /// // default) both disjuncts are decided by the theory, not by search.
-    /// let c5 = s.int(5);
-    /// let le5 = s.le(tx, c5);
-    /// let c7 = s.int(7);
-    /// let ge7 = s.ge(tx, c7);
-    /// let disj = s.or(&[le5, ge7]);
-    /// s.assert(disj);
-    /// assert_eq!(s.check().unwrap(), SatResult::Sat);
-    /// assert!(s.stats().theory_propagations >= 1);
-    /// ```
-    pub theory_propagations: u64,
-    /// Theory reason clauses materialized on demand during conflict
-    /// analysis — the subset of `theory_propagations` whose literal was
-    /// actually resolved on by 1-UIP (the rest never paid for a clause).
-    pub theory_explanations: u64,
 }
 
 /// Result of [`Solver::bounds`]: the feasible hull of an integer variable
@@ -231,124 +198,12 @@ fn gap_complement(lo: i64, hi: i64, values: &[i64]) -> Vec<(i64, i64)> {
 /// Maximum DPLL(T) refinement iterations per `check()` before `Unknown`.
 const MAX_REFINEMENTS: u64 = 100_000;
 
-/// The [`TheoryPropagator`] a [`Solver`] hands to the SAT core during
-/// `check()` when [`TheoryConfig::propagate`] is on: an adapter from trail
-/// state to [`TheorySession::propagate`] calls, recording each propagated
-/// literal's antecedents so `explain` can build the reason clause on demand.
-///
-/// Built fresh per `SatSolver::solve_with` call — antecedent records never
-/// outlive the solve that produced them. That is sound because a literal's
-/// reason is only consulted while the literal sits on the trail above the
-/// root level, and every such literal is unassigned again when the next
-/// solve starts (`cancel_until(0)`); theory-propagated literals *at* the
-/// root level keep their lazy marker across solves but are never resolved
-/// on (1-UIP skips root literals), so their explanations are never
-/// requested.
-struct SessionPropagator<'a> {
-    pool: &'a TermPool,
-    enc: &'a Encoder,
-    theory: &'a mut TheorySession,
-    atom_live: &'a [u32],
-    /// Innermost frame selector at solve time. Explanation clauses are
-    /// guarded with its negation so `retract` deletes them with the frame —
-    /// an unguarded explanation would pin its atom variables live forever
-    /// (the same argument as for theory blocking lemmas in
-    /// [`Solver::check`]).
-    guard: Option<Lit>,
-    /// Antecedent literals of every propagation this solve, keyed by the
-    /// propagated literal.
-    antecedents: BTreeMap<Lit, Vec<Lit>>,
-}
-
-impl TheoryPropagator for SessionPropagator<'_> {
-    fn propagate(&mut self, sat: &SatSolver) -> Result<Vec<Lit>, SolverError> {
-        // Partition the live atom registry (in registry order, which makes
-        // the propagation order deterministic) into asserted atoms and
-        // unassigned candidates.
-        let mut asserted: Vec<LinAtom> = Vec::new();
-        let mut asserted_lits: Vec<Lit> = Vec::new();
-        let mut candidates: Vec<LinAtom> = Vec::new();
-        let mut cand_vars: Vec<SatVar> = Vec::new();
-        for (i, (atom, sv)) in self.enc.atoms().iter().enumerate() {
-            if self.atom_live.get(i).copied().unwrap_or(0) == 0 {
-                continue;
-            }
-            // A literal this propagator itself placed earlier carries no
-            // new information — it is entailed by the real assertions —
-            // so it joins neither side of the partition: re-asserting it
-            // would be a no-op bound assert, and as an antecedent it would
-            // weaken explanations (the real assertions beneath it are the
-            // better reason).
-            if sat.reason_is_theory(*sv) {
-                continue;
-            }
-            match sat.assigned_value(*sv) {
-                Some(val) => {
-                    asserted.push(if val { atom.clone() } else { atom.negated() });
-                    asserted_lits.push(Lit::new(*sv, val));
-                }
-                // Only branchable variables are worth propagating: a var
-                // with no live clause occurrence (e.g. an interval-probe
-                // atom used purely as a `check_assuming` assumption) is
-                // never decided and watches nothing, so enqueueing it costs
-                // trail traffic without pruning any search.
-                None if sat.is_branchable(*sv) => {
-                    candidates.push(atom.clone());
-                    cand_vars.push(*sv);
-                }
-                None => {}
-            }
-        }
-        let props = self.theory.propagate(self.pool, &asserted, &candidates)?;
-        let mut out = Vec::with_capacity(props.len());
-        for p in props {
-            let &sv = cand_vars
-                .get(p.candidate)
-                .ok_or(SolverError::Internal("propagated candidate out of range"))?;
-            let lit = Lit::new(sv, p.value);
-            let mut ants = Vec::with_capacity(p.antecedents.len());
-            for ai in p.antecedents {
-                ants.push(
-                    *asserted_lits
-                        .get(ai)
-                        .ok_or(SolverError::Internal("propagation antecedent out of range"))?,
-                );
-            }
-            self.antecedents.insert(lit, ants);
-            out.push(lit);
-        }
-        Ok(out)
-    }
-
-    fn explain(&mut self, lit: Lit) -> Result<Vec<Lit>, SolverError> {
-        let ants = self
-            .antecedents
-            .get(&lit)
-            .ok_or(SolverError::Internal("explanation for unknown propagation"))?;
-        let mut clause = Vec::with_capacity(ants.len() + 2);
-        clause.push(lit);
-        if let Some(g) = self.guard {
-            clause.push(!g);
-        }
-        clause.extend(ants.iter().map(|&a| !a));
-        Ok(clause)
-    }
-}
-
 /// The SMT solver. See the [crate docs](crate) for an end-to-end example.
 pub struct Solver {
     pool: TermPool,
     sat: SatSolver,
     enc: Encoder,
     theory: TheorySession,
-    /// Deterministic theory-verdict memo, keyed by the asserted-atom
-    /// fingerprint (the assigned atom literals in registry order). Valid
-    /// regardless of frames: a conjunction's LIA status does not depend on
-    /// which frame asserted it. Cleared when the declared-variable set
-    /// grows (a memoized Sat model would be missing the new variables).
-    theory_memo: BTreeMap<Vec<Lit>, TheoryVerdict>,
-    /// Declared-variable count the memo entries were computed under.
-    memo_vars: usize,
     frames: Vec<Lit>,
     /// Generation id per open frame, parallel to `frames`. Ids are
     /// allocated monotonically and never reused — unlike selector
@@ -374,10 +229,6 @@ pub struct Solver {
     theory_config: TheoryConfig,
 }
 
-/// Entry cap for the theory-verdict memo; the map is cleared wholesale when
-/// full (deterministic, and cheaper than tracking recency).
-const THEORY_MEMO_CAP: usize = 8192;
-
 impl Default for Solver {
     fn default() -> Self {
         Self::new()
@@ -392,8 +243,6 @@ impl Solver {
             sat: SatSolver::new(),
             enc: Encoder::new(),
             theory: TheorySession::new(),
-            theory_memo: BTreeMap::new(),
-            memo_vars: 0,
             frames: Vec::new(),
             frame_ids: Vec::new(),
             next_frame_id: 0,
@@ -430,9 +279,6 @@ impl Solver {
         let (hits, misses) = self.enc.cache_stats();
         s.encode_cache_hits = hits;
         s.encode_cache_misses = misses;
-        let sat = self.sat.stats();
-        s.theory_propagations = sat.theory_propagations;
-        s.theory_explanations = sat.theory_explanations;
         s
     }
 
@@ -456,9 +302,7 @@ impl Solver {
     }
 
     /// Replaces the theory configuration (e.g. a tiny branch-and-bound node
-    /// budget to force [`SatResult::Unknown`] in tests). Memoized verdicts
-    /// are kept: Sat/Unsat answers are budget-independent truths, and
-    /// `Unknown` is never memoized.
+    /// budget to force [`SatResult::Unknown`] in tests).
     pub fn set_theory_config(&mut self, config: TheoryConfig) {
         self.theory_config = config;
     }
@@ -662,34 +506,11 @@ impl Solver {
         self.stats.checks += 1;
         self.model = None;
         let assumptions: Vec<Lit> = self.frames.clone();
-        // A grown declared-variable set invalidates memoized Sat models
-        // (they would be missing values for the new variables).
-        if self.pool.vars().len() != self.memo_vars {
-            self.theory_memo.clear();
-            self.memo_vars = self.pool.vars().len();
-        }
+        let mut lits: Vec<(usize, bool)> = Vec::new();
 
         for _ in 0..MAX_REFINEMENTS {
-            // With propagation on, the SAT search consults the warm tableau
-            // between unit propagation and every decision (see
-            // [`SessionPropagator`]); off restores the pure lazy loop and
-            // serves as the oracle for the differential tests.
-            let outcome = if self.theory_config.propagate {
-                let mut prop = SessionPropagator {
-                    pool: &self.pool,
-                    enc: &self.enc,
-                    theory: &mut self.theory,
-                    atom_live: &self.atom_live,
-                    guard: self.frames.last().copied(),
-                    antecedents: BTreeMap::new(),
-                };
-                self.sat.solve_with(&assumptions, Some(&mut prop))?
-            } else {
-                self.sat.solve(&assumptions)?
-            };
-            match outcome {
-                SatOutcome::Unsat => return Ok(SatResult::Unsat),
-                SatOutcome::Sat => {}
+            if self.sat.solve(&assumptions)? == SatOutcome::Unsat {
+                return Ok(SatResult::Unsat);
             }
             self.stats.theory_checks += 1;
 
@@ -699,50 +520,21 @@ impl Solver {
             // encodings' atom variables assignable, but their truth values
             // carry no meaning for the live formula, and handing them to the
             // theory would make per-check cost grow with session history.
-            let mut conj: Vec<LinAtom> = Vec::new();
-            let mut asserted_lits: Vec<Lit> = Vec::new();
-            for (i, (atom, sv)) in self.enc.atoms().iter().enumerate() {
-                if self.atom_live.get(i).copied().unwrap_or(0) == 0 {
+            // Only `(registry index, value)` pairs are collected; the theory
+            // session compiled each literal's bound on first sight.
+            lits.clear();
+            let live = self.enc.atom_sat_vars().iter().zip(&self.atom_live);
+            for (i, (&sv, &refs)) in live.enumerate() {
+                if refs == 0 {
                     continue;
                 }
-                // Theory-propagated literals are *excluded*: each was
-                // derived by bound subsumption from ordinary assertions
-                // that are still on the trail beneath it (root-level
-                // assignments persist to a Sat outcome), so the reduced
-                // conjunction entails it — feasibility, the witness model,
-                // and any Unsat core are unchanged, while the check stays
-                // exactly as large as with propagation off and the memo
-                // fingerprint matches the off-path one.
-                if self.sat.reason_is_theory(*sv) {
-                    continue;
-                }
-                if let Some(val) = self.sat.assigned_value(*sv) {
-                    conj.push(if val { atom.clone() } else { atom.negated() });
-                    asserted_lits.push(Lit::new(*sv, val));
+                if let Some(val) = self.sat.assigned_value(sv) {
+                    lits.push((i, val));
                 }
             }
-
-            // Theory-verdict memo: the fingerprint (assigned atom literals
-            // in registry order) determines `conj` exactly, so a hit can
-            // replay the verdict — Sat witness or Unsat core — without
-            // touching the tableau. Core indices stay valid because they
-            // index the fingerprint itself.
-            let verdict = match self.theory_memo.get(&asserted_lits) {
-                Some(v) => {
-                    self.stats.theory_memo_hits += 1;
-                    v.clone()
-                }
-                None => {
-                    let v = self.theory.check(&self.pool, &conj, self.theory_config)?;
-                    if v != TheoryVerdict::Unknown {
-                        if self.theory_memo.len() >= THEORY_MEMO_CAP {
-                            self.theory_memo.clear();
-                        }
-                        self.theory_memo.insert(asserted_lits.clone(), v.clone());
-                    }
-                    v
-                }
-            };
+            let verdict =
+                self.theory
+                    .check(&self.pool, self.enc.atoms(), &lits, self.theory_config)?;
             match verdict {
                 TheoryVerdict::Sat(ints) => {
                     let mut bools = BTreeMap::new();
@@ -777,11 +569,16 @@ impl Solver {
                     if let Some(sel) = self.frames.last() {
                         blocking.push(!*sel);
                     }
-                    for &i in &core {
-                        let l = asserted_lits
-                            .get(i)
+                    for &pos in &core {
+                        let &(i, val) = lits
+                            .get(pos)
                             .ok_or(SolverError::Internal("theory core index out of range"))?;
-                        blocking.push(!*l);
+                        let &sv = self
+                            .enc
+                            .atom_sat_vars()
+                            .get(i)
+                            .ok_or(SolverError::Internal("theory core atom out of range"))?;
+                        blocking.push(!Lit::new(sv, val));
                     }
                     if !self.sat.add_clause(&blocking) {
                         return Ok(SatResult::Unsat);
@@ -1170,36 +967,21 @@ mod tests {
     #[test]
     fn disjunction_needs_theory_refinement() {
         // (x <= 3 or x >= 7) and x = 5 is propositionally satisfiable; only
-        // the theory refutes it. With propagation off that takes a blocking
-        // lemma; with propagation on (the default) the tableau refutes both
-        // disjuncts directly on the trail, before any lemma is needed.
-        let run = |propagate: bool| {
-            let mut s = Solver::new();
-            s.set_theory_config(TheoryConfig {
-                propagate,
-                ..TheoryConfig::default()
-            });
-            let x = s.int_var("x", 0, 10);
-            let tx = s.var(x);
-            let c3 = s.int(3);
-            let c7 = s.int(7);
-            let c5 = s.int(5);
-            let a = s.le(tx, c3);
-            let b = s.ge(tx, c7);
-            let disj = s.or(&[a, b]);
-            let eq = s.eq(tx, c5);
-            s.assert(disj);
-            s.assert(eq);
-            let r = s.check().unwrap();
-            (r, s.stats())
-        };
-        let (off, off_stats) = run(false);
-        assert_eq!(off, SatResult::Unsat);
-        assert!(off_stats.theory_conflicts >= 1);
-        assert_eq!(off_stats.theory_propagations, 0);
-        let (on, on_stats) = run(true);
-        assert_eq!(on, SatResult::Unsat);
-        assert!(on_stats.theory_propagations >= 1);
+        // the theory refutes it, through blocking lemmas.
+        let mut s = Solver::new();
+        let x = s.int_var("x", 0, 10);
+        let tx = s.var(x);
+        let c3 = s.int(3);
+        let c7 = s.int(7);
+        let c5 = s.int(5);
+        let a = s.le(tx, c3);
+        let b = s.ge(tx, c7);
+        let disj = s.or(&[a, b]);
+        let eq = s.eq(tx, c5);
+        s.assert(disj);
+        s.assert(eq);
+        assert_eq!(s.check().unwrap(), SatResult::Unsat);
+        assert!(s.stats().theory_conflicts >= 1);
     }
 
     #[test]

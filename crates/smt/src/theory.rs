@@ -21,14 +21,20 @@
 //!
 //! [`TheorySession`] keeps one simplex tableau alive across DPLL(T) checks:
 //! declared variables are mirrored once (and incrementally as the pool
-//! grows), slack rows are interned by normalized coefficient vector and
-//! reused forever, and each check only asserts its atoms' *bounds* against
-//! the live tableau, then retracts them via the trail — carrying the basis
+//! grows), slack rows are interned by coefficient vector and reused
+//! forever, and each check only asserts its atoms' *bounds* against the
+//! live tableau, then retracts them via the trail — carrying the basis
 //! (and the witness point `β`) forward so a check that differs from its
 //! predecessor by a few literals resolves in a handful of pivots.
+//!
+//! Atoms are named by their index in an append-only *registry* (the SMT
+//! layer's atom table) plus a polarity. Each `(index, polarity)` literal is
+//! compiled once — to an upper or lower bound on one simplex variable, or
+//! to a constant — and the compiled bound is reused by every later check,
+//! so a check costs one table lookup and one bound assert per literal.
 //! [`check_conjunction`] remains as the stateless oracle: a fresh
-//! single-check session, equivalent to the historical rebuild-per-check
-//! behaviour and used by the warm-start equivalence proptests.
+//! single-check session over the same compile step, used by the warm-start
+//! equivalence proptests.
 
 use std::collections::BTreeMap;
 
@@ -49,26 +55,12 @@ pub enum TheoryVerdict {
     /// Satisfiable; integer values for every declared integer variable.
     /// Kept in a `BTreeMap` so model iteration order is deterministic.
     Sat(BTreeMap<VarId, i64>),
-    /// Unsatisfiable; indices (into the checked atom slice) of a conflicting
-    /// subset. May be empty if the declared bounds alone are inconsistent.
+    /// Unsatisfiable; positions (into the checked literal slice) of a
+    /// conflicting subset. May be empty if the declared bounds alone are
+    /// inconsistent.
     Unsat(Vec<usize>),
     /// The node budget was exhausted before a decision was reached.
     Unknown,
-}
-
-/// One literal derived by [`TheorySession::propagate`]: the candidate atom
-/// at `candidate` must take `value`, because the asserted atoms at
-/// `antecedents` (positions into the asserted slice) force it.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TheoryPropagation {
-    /// Index into the candidate slice of the entailed atom.
-    pub candidate: usize,
-    /// Entailed polarity: `true` for the atom itself, `false` for its
-    /// negation.
-    pub value: bool,
-    /// Positions into the asserted slice of the atoms whose bounds entail
-    /// the candidate. Empty when declared variable bounds alone do.
-    pub antecedents: Vec<usize>,
 }
 
 /// Configuration for the theory check.
@@ -76,33 +68,11 @@ pub struct TheoryPropagation {
 pub struct TheoryConfig {
     /// Maximum number of branch-and-bound nodes to explore.
     pub max_nodes: u64,
-    /// Whether to run theory propagation inside the SAT search (on by
-    /// default): between unit propagation and each decision, the warm
-    /// tableau is consulted for atom literals already entailed by the
-    /// asserted bounds, and those are enqueued on the trail instead of
-    /// being discovered by a later full check.
-    ///
-    /// Turning it off restores the pure lazy-SMT loop; verdicts and decode
-    /// outputs are identical either way (propagated atoms are *entailed*,
-    /// so asserting them during a check is a no-op) — the off-path is kept
-    /// as the oracle for the differential tests.
-    ///
-    /// ```
-    /// use lejit_smt::TheoryConfig;
-    ///
-    /// assert!(TheoryConfig::default().propagate);
-    /// let off = TheoryConfig { propagate: false, ..TheoryConfig::default() };
-    /// assert!(!off.propagate);
-    /// ```
-    pub propagate: bool,
 }
 
 impl Default for TheoryConfig {
     fn default() -> Self {
-        TheoryConfig {
-            max_nodes: 50_000,
-            propagate: true,
-        }
+        TheoryConfig { max_nodes: 50_000 }
     }
 }
 
@@ -124,21 +94,35 @@ pub struct TheoryStats {
     pub tableau_vars: u64,
     /// Slack rows translated and added to the tableau (interning misses).
     pub slack_rows_built: u64,
-    /// Atom translations answered by an already-interned slack row.
+    /// Multi-variable literal asserts served by an already-interned slack
+    /// row (every such assert except the one that built the row).
     pub slack_row_hits: u64,
     /// Branch-and-bound nodes explored.
     pub bnb_nodes: u64,
 }
 
+/// One atom literal compiled to the bound it asserts on the tableau.
+#[derive(Clone, Copy, Debug)]
+enum AtomBound {
+    /// `v ≤ b` on a declared variable.
+    Upper(SVar, Rational),
+    /// `s ≤ b` on an interned slack row `s = Σ c·x`.
+    Row(SVar, Rational),
+    /// `v ≥ b` on a declared variable (a single negative coefficient).
+    Lower(SVar, Rational),
+    /// A variable-free atom: always true or always false.
+    Const(bool),
+}
+
 /// A persistent, warm-started theory backend.
 ///
 /// Owns one [`Simplex`] for the lifetime of the owning solver. Each
-/// [`Self::check`] asserts the conjunction's bounds on the live tableau,
-/// runs branch-and-bound, and retracts the bounds through the trail —
-/// leaving the pivoted basis and the feasible point `β` in place as the
-/// warm start for the next check. Declared-variable bounds are asserted
+/// [`Self::check`] asserts the literals' compiled bounds on the live
+/// tableau, runs branch-and-bound, and retracts the bounds through the
+/// trail — leaving the pivoted basis and the feasible point `β` in place as
+/// the warm start for the next check. Declared-variable bounds are asserted
 /// below every check's snapshot, so they persist; slack rows are interned
-/// by normalized coefficient vector and never rebuilt.
+/// by coefficient vector and never rebuilt.
 ///
 /// Verdicts are semantically equivalent to [`check_conjunction`] (Sat ↔ Sat
 /// with a feasible model, Unsat ↔ Unsat with a valid core), but the *model
@@ -150,10 +134,16 @@ pub struct TheorySession {
     sx: Simplex,
     /// Pool variables mirrored so far (`pool.vars()` prefix length).
     synced_vars: usize,
-    int_vars: Vec<VarId>,
-    svar_of: BTreeMap<VarId, SVar>,
-    /// Interned slack rows per normalized coefficient vector.
+    /// Every declared integer variable with its simplex variable, in
+    /// ascending `VarId` order.
+    int_vars: Vec<(VarId, SVar)>,
+    /// Simplex variable per pool variable index (`None` for booleans).
+    svar_of: Vec<Option<SVar>>,
+    /// Interned slack rows per coefficient vector.
     slack_of: BTreeMap<Vec<(SVar, Rational)>, SVar>,
+    /// Compiled bound per registry literal: slot `2·i` holds atom `i`, slot
+    /// `2·i + 1` its negation; `None` until the literal is first checked.
+    compiled: Vec<Option<AtomBound>>,
     stats: TheoryStats,
 }
 
@@ -181,6 +171,13 @@ impl TheorySession {
         (self.sx.num_vars(), self.sx.num_rows())
     }
 
+    /// Slots in the compiled-bound table: at most twice the length of the
+    /// registry the session has been checked against (one slot per atom
+    /// polarity), never growing with the number of checks.
+    pub fn compiled_len(&self) -> usize {
+        self.compiled.len()
+    }
+
     /// Mirrors integer variables declared since the last sync. Their
     /// declared bounds are asserted below any future snapshot, so they are
     /// never retracted.
@@ -192,12 +189,13 @@ impl TheorySession {
         let mut added = false;
         for (idx, info) in vars.iter().enumerate().skip(self.synced_vars) {
             if info.sort != Sort::Int {
+                self.svar_of.push(None);
                 continue;
             }
             let v = VarId(idx as u32);
             let sv = self.sx.add_var();
-            self.svar_of.insert(v, sv);
-            self.int_vars.push(v);
+            self.svar_of.push(Some(sv));
+            self.int_vars.push((v, sv));
             self.stats.tableau_vars += 1;
             added = true;
             let tag = BoundTag(DECL_BASE + idx as u32);
@@ -221,14 +219,12 @@ impl TheorySession {
         Ok(())
     }
 
-    /// Translates atom `i` and asserts its bound on the live tableau.
-    /// Returns an early `Unsat` verdict on an immediate bound clash.
-    fn assert_atom(
-        &mut self,
-        i: usize,
-        atom: &LinAtom,
-    ) -> Result<Option<TheoryVerdict>, SolverError> {
-        let tag = BoundTag(i as u32);
+    /// Translates `atom` (Σ c·x + k ≤ 0) into the bound it asserts,
+    /// interning its slack row when it has more than one variable.
+    fn compile(&mut self, atom: &LinAtom) -> Result<AtomBound, SolverError> {
+        if atom.expr.is_constant() {
+            return Ok(AtomBound::Const(atom.expr.constant <= 0));
+        }
         // Σ c·x + k ≤ 0  ⇔  Σ c·x ≤ −k.
         let neg_k = atom
             .expr
@@ -236,182 +232,122 @@ impl TheorySession {
             .checked_neg()
             .ok_or(SolverError::Overflow("negating atom constant"))?;
         let bound = Rational::from_int(neg_k);
-        if atom.expr.is_constant() {
-            // k ≤ 0 ?
-            if atom.expr.constant > 0 {
-                return Ok(Some(TheoryVerdict::Unsat(vec![i])));
-            }
-            return Ok(None);
-        }
         let mut coeffs: Vec<(SVar, Rational)> = Vec::with_capacity(atom.expr.coeffs.len());
         for (&v, &c) in &atom.expr.coeffs {
-            let sv = *self
+            let sv = self
                 .svar_of
-                .get(&v)
+                .get(v.0 as usize)
+                .copied()
+                .flatten()
                 .ok_or(SolverError::Internal("atom references undeclared variable"))?;
             coeffs.push((sv, Rational::from_int(c)));
         }
-        let result = if let &[(sv, c)] = coeffs.as_slice() {
+        if let &[(sv, c)] = coeffs.as_slice() {
             // c·x ≤ bound  ⇔  x ≤ bound/c (c>0)  or  x ≥ bound/c (c<0).
-            if c.is_positive() {
-                self.sx.assert_upper(sv, bound / c, tag)
+            return Ok(if c.is_positive() {
+                AtomBound::Upper(sv, bound / c)
             } else {
-                self.sx.assert_lower(sv, bound / c, tag)
-            }
-        } else {
-            let sv = match self.slack_of.get(&coeffs) {
-                Some(&sv) => {
-                    self.stats.slack_row_hits += 1;
-                    sv
-                }
-                None => {
-                    let sv = self.sx.add_row(&coeffs)?;
-                    self.slack_of.insert(coeffs, sv);
-                    self.stats.slack_rows_built += 1;
-                    self.stats.tableau_vars += 1;
-                    sv
-                }
-            };
-            self.sx.assert_upper(sv, bound, tag)
-        };
-        match result {
-            Ok(()) => Ok(None),
-            Err(core) => Ok(Some(TheoryVerdict::Unsat(filter_core(core)))),
-        }
-    }
-
-    /// Tests whether `atom` (Σ c·x + k ≤ 0) is entailed by the bounds
-    /// currently asserted on the tableau, by pure bound subsumption — no
-    /// pivoting, no row evaluation.
-    ///
-    /// Returns the antecedent bound tags on success: the (at most one, for
-    /// this bound shape) asserted bounds that force the atom. Declared-bound
-    /// sentinels are filtered out — an atom entailed by declared bounds
-    /// alone has an empty antecedent list.
-    ///
-    /// Deliberately incomplete: a multi-coefficient atom is only recognized
-    /// when its interned slack row already carries a subsuming upper bound
-    /// (i.e. a same-form atom with a tighter constant is asserted); bounds
-    /// implied *through* a row are left for the full check. Rows are never
-    /// built here — a fresh slack variable carries no bounds, so building
-    /// one cannot create an entailment.
-    fn entailed(&self, atom: &LinAtom) -> Result<Option<Vec<usize>>, SolverError> {
-        // Σ c·x + k ≤ 0  ⇔  Σ c·x ≤ −k.
-        let neg_k = atom
-            .expr
-            .constant
-            .checked_neg()
-            .ok_or(SolverError::Overflow("negating atom constant"))?;
-        let bound = Rational::from_int(neg_k);
-        if atom.expr.is_constant() {
-            // k ≤ 0 is entailed by nothing (or by nothing at all).
-            return Ok(if atom.expr.constant <= 0 {
-                Some(Vec::new())
-            } else {
-                None
+                AtomBound::Lower(sv, bound / c)
             });
         }
-        let mut coeffs: Vec<(SVar, Rational)> = Vec::with_capacity(atom.expr.coeffs.len());
-        for (&v, &c) in &atom.expr.coeffs {
-            let sv = *self
-                .svar_of
-                .get(&v)
-                .ok_or(SolverError::Internal("atom references undeclared variable"))?;
-            coeffs.push((sv, Rational::from_int(c)));
-        }
-        let witness = if let &[(sv, c)] = coeffs.as_slice() {
-            // c·x ≤ bound  ⇔  x ≤ bound/c (c>0)  or  x ≥ bound/c (c<0).
-            if c.is_positive() {
-                self.sx.upper_bound(sv).filter(|(up, _)| *up <= bound / c)
-            } else {
-                self.sx.lower_bound(sv).filter(|(lo, _)| *lo >= bound / c)
+        let sv = match self.slack_of.get(&coeffs) {
+            Some(&sv) => {
+                self.stats.slack_row_hits += 1;
+                sv
             }
-        } else {
-            match self.slack_of.get(&coeffs) {
-                Some(&sv) => self.sx.upper_bound(sv).filter(|(up, _)| *up <= bound),
-                None => None,
+            None => {
+                let sv = self.sx.add_row(&coeffs)?;
+                self.slack_of.insert(coeffs, sv);
+                self.stats.slack_rows_built += 1;
+                self.stats.tableau_vars += 1;
+                sv
             }
         };
-        Ok(witness.map(|(_, tag)| {
-            if tag.0 < DECL_BASE {
-                vec![tag.0 as usize]
-            } else {
-                Vec::new()
-            }
-        }))
+        Ok(AtomBound::Row(sv, bound))
     }
 
-    /// Theory propagation: with `asserted` atoms holding (each tagged by its
-    /// position), scans `candidates` — currently *unassigned* atoms — for
-    /// literals already entailed by the asserted bounds, in input order
-    /// (callers pass candidates in atom-registry order, so the result is
-    /// deterministic).
-    ///
-    /// Each [`TheoryPropagation`] names the candidate index, the entailed
-    /// polarity (`true` for the atom itself, `false` for its negation), and
-    /// the positions into `asserted` of the antecedent atoms — the
-    /// explanation `antecedents ⇒ candidate=value`, which the SAT layer
-    /// turns into a reason clause on demand.
-    ///
-    /// The tableau is snapshotted and fully unwound before returning; like
-    /// [`Self::check`], the basis and `β` carry forward. If the asserted
-    /// atoms clash among themselves the scan is abandoned and no
-    /// propagations are reported — the following full check finds the
-    /// conflict and produces a proper core.
-    pub fn propagate(
+    /// The compiled bound of registry atom `atom` taken with polarity
+    /// `value`, compiling it on first use.
+    fn bound_of(
         &mut self,
-        pool: &TermPool,
-        asserted: &[LinAtom],
-        candidates: &[LinAtom],
-    ) -> Result<Vec<TheoryPropagation>, SolverError> {
-        self.sync_pool(pool)?;
-        let snap = self.sx.snapshot();
-        let mut out = Vec::new();
-        let mut clash = false;
-        for (i, atom) in asserted.iter().enumerate() {
-            if self.assert_atom(i, atom)?.is_some() {
-                clash = true;
-                break;
+        registry: &[LinAtom],
+        atom: usize,
+        value: bool,
+    ) -> Result<AtomBound, SolverError> {
+        let slot = 2 * atom + usize::from(!value);
+        if let Some(&Some(b)) = self.compiled.get(slot) {
+            if let AtomBound::Row(..) = b {
+                self.stats.slack_row_hits += 1;
             }
+            return Ok(b);
         }
-        if !clash {
-            for (ci, cand) in candidates.iter().enumerate() {
-                if let Some(antecedents) = self.entailed(cand)? {
-                    out.push(TheoryPropagation {
-                        candidate: ci,
-                        value: true,
-                        antecedents,
-                    });
-                } else if let Some(antecedents) = self.entailed(&cand.negated())? {
-                    out.push(TheoryPropagation {
-                        candidate: ci,
-                        value: false,
-                        antecedents,
-                    });
-                }
-            }
+        let a = registry
+            .get(atom)
+            .ok_or(SolverError::Internal("atom index outside the registry"))?;
+        let b = if value {
+            self.compile(a)?
+        } else {
+            self.compile(&a.negated())?
+        };
+        if self.compiled.len() <= slot {
+            self.compiled.resize(2 * (atom + 1), None);
         }
-        self.sx.undo_to(snap);
-        Ok(out)
+        let entry = self
+            .compiled
+            .get_mut(slot)
+            .ok_or(SolverError::Internal("compiled-bound table too short"))?;
+        *entry = Some(b);
+        Ok(b)
     }
 
-    /// Checks the conjunction of `atoms` against the live tableau.
+    /// Asserts the compiled bound of every literal, tagged with its
+    /// position in `lits`. Returns an early `Unsat` verdict on an immediate
+    /// bound clash or a constant-false atom.
+    fn assert_literals(
+        &mut self,
+        registry: &[LinAtom],
+        lits: &[(usize, bool)],
+    ) -> Result<Option<TheoryVerdict>, SolverError> {
+        for (pos, &(atom, value)) in lits.iter().enumerate() {
+            let tag = BoundTag(pos as u32);
+            let result = match self.bound_of(registry, atom, value)? {
+                AtomBound::Upper(sv, b) | AtomBound::Row(sv, b) => self.sx.assert_upper(sv, b, tag),
+                AtomBound::Lower(sv, b) => self.sx.assert_lower(sv, b, tag),
+                AtomBound::Const(true) => Ok(()),
+                AtomBound::Const(false) => return Ok(Some(TheoryVerdict::Unsat(vec![pos]))),
+            };
+            if let Err(core) = result {
+                return Ok(Some(TheoryVerdict::Unsat(filter_core(core))));
+            }
+        }
+        Ok(None)
+    }
+
+    /// Checks the conjunction of `lits` against the live tableau. Each
+    /// literal `(i, value)` names atom `registry[i]` (`value = true`) or its
+    /// integer negation (`false`); an Unsat core lists positions in `lits`.
+    ///
+    /// `registry` must be append-only across the session's checks: entry
+    /// `i` may never change once checked, because its compiled bound is
+    /// reused.
     ///
     /// Bound assert/retract protocol: newly declared variables are mirrored
-    /// first (below the snapshot — their bounds persist), then every atom's
-    /// bound is asserted tagged with its index, branch-and-bound runs, and
-    /// finally the trail is unwound to the snapshot. The basis and `β` are
-    /// *not* restored — they carry forward as the warm start.
+    /// first (below the snapshot — their bounds persist), then every
+    /// literal's bound is asserted tagged with its position,
+    /// branch-and-bound runs, and finally the trail is unwound to the
+    /// snapshot. The basis and `β` are *not* restored — they carry forward
+    /// as the warm start.
     pub fn check(
         &mut self,
         pool: &TermPool,
-        atoms: &[LinAtom],
+        registry: &[LinAtom],
+        lits: &[(usize, bool)],
         config: TheoryConfig,
     ) -> Result<TheoryVerdict, SolverError> {
         self.sync_pool(pool)?;
         self.stats.checks += 1;
         let snap = self.sx.snapshot();
-        let out = self.check_asserted(atoms, config);
+        let out = self.check_asserted(registry, lits, config);
         self.sx.undo_to(snap);
         out
     }
@@ -419,31 +355,20 @@ impl TheorySession {
     /// The body of [`Self::check`], between snapshot and undo.
     fn check_asserted(
         &mut self,
-        atoms: &[LinAtom],
+        registry: &[LinAtom],
+        lits: &[(usize, bool)],
         config: TheoryConfig,
     ) -> Result<TheoryVerdict, SolverError> {
-        for (i, atom) in atoms.iter().enumerate() {
-            if let Some(verdict) = self.assert_atom(i, atom)? {
-                return Ok(verdict);
-            }
+        if let Some(verdict) = self.assert_literals(registry, lits)? {
+            return Ok(verdict);
         }
         let mut nodes = 0u64;
-        let result = branch_and_bound(
-            &mut self.sx,
-            &self.int_vars,
-            &self.svar_of,
-            &mut nodes,
-            config.max_nodes,
-        );
+        let result = branch_and_bound(&mut self.sx, &self.int_vars, &mut nodes, config.max_nodes);
         self.stats.bnb_nodes += nodes;
         match result? {
             BnB::Sat => {
                 let mut model: BTreeMap<VarId, i64> = BTreeMap::new();
-                for &v in &self.int_vars {
-                    let sv = *self
-                        .svar_of
-                        .get(&v)
-                        .ok_or(SolverError::Internal("model variable has no simplex slot"))?;
+                for &(v, sv) in &self.int_vars {
                     let val = self
                         .sx
                         .value_of(sv)
@@ -460,12 +385,13 @@ impl TheorySession {
 }
 
 /// Checks the conjunction of `atoms` over the integers, respecting the
-/// declared bounds of every integer variable in `pool`.
+/// declared bounds of every integer variable in `pool`. Unsat core indices
+/// point into `atoms`.
 ///
-/// Stateless: builds a fresh single-check [`TheorySession`], so every call
-/// pays the full tableau build — this is the *oracle* the warm-start
-/// equivalence proptests compare against. The production path is the
-/// session owned by [`crate::Solver`].
+/// Stateless: builds a fresh single-check [`TheorySession`] with `atoms` as
+/// its registry, so every call pays the full tableau build and compile —
+/// this is the *oracle* the warm-start equivalence proptests compare
+/// against. The production path is the session owned by [`crate::Solver`].
 ///
 /// `Err` means the atoms could not even be translated (arithmetic overflow,
 /// a reference to an undeclared variable, or a broken simplex invariant) —
@@ -475,8 +401,8 @@ pub fn check_conjunction(
     atoms: &[LinAtom],
     config: TheoryConfig,
 ) -> Result<TheoryVerdict, SolverError> {
-    let mut session = TheorySession::new();
-    session.check(pool, atoms, config)
+    let lits: Vec<(usize, bool)> = (0..atoms.len()).map(|i| (i, true)).collect();
+    TheorySession::new().check(pool, atoms, &lits, config)
 }
 
 enum BnB {
@@ -487,8 +413,7 @@ enum BnB {
 
 fn branch_and_bound(
     sx: &mut Simplex,
-    int_vars: &[VarId],
-    svar_of: &BTreeMap<VarId, SVar>,
+    int_vars: &[(VarId, SVar)],
     nodes: &mut u64,
     max_nodes: u64,
 ) -> Result<BnB, SolverError> {
@@ -503,10 +428,7 @@ fn branch_and_bound(
     // Find the most fractional integer variable.
     let mut pick: Option<(SVar, Rational)> = None;
     let mut best_frac = Rational::ZERO;
-    for v in int_vars {
-        let sv = *svar_of
-            .get(v)
-            .ok_or(SolverError::Internal("branch variable has no simplex slot"))?;
+    for &(_, sv) in int_vars {
         let val = sx.value_of(sv);
         if !val.is_integer() {
             let fl = Rational::new(val.floor(), 1);
@@ -534,7 +456,7 @@ fn branch_and_bound(
     // Branch 1: x ≤ floor.
     let snap = sx.snapshot();
     let down = match sx.assert_upper(sv, floor, btag) {
-        Ok(()) => branch_and_bound(sx, int_vars, svar_of, nodes, max_nodes)?,
+        Ok(()) => branch_and_bound(sx, int_vars, nodes, max_nodes)?,
         Err(core) => BnB::Unsat(core),
     };
     sx.undo_to(snap);
@@ -547,7 +469,7 @@ fn branch_and_bound(
     // Branch 2: x ≥ ceil.
     let snap = sx.snapshot();
     let up = match sx.assert_lower(sv, ceil, btag) {
-        Ok(()) => branch_and_bound(sx, int_vars, svar_of, nodes, max_nodes)?,
+        Ok(()) => branch_and_bound(sx, int_vars, nodes, max_nodes)?,
         Err(core) => BnB::Unsat(core),
     };
     sx.undo_to(snap);
@@ -733,10 +655,7 @@ mod tests {
         // A system needing at least one branch, with a budget of 1 node.
         let a1 = atom(&[(vs[0], 2), (vs[1], 2), (vs[2], 2)], -7);
         let a2 = atom(&[(vs[0], -2), (vs[1], -2), (vs[2], -2)], 7);
-        let config = TheoryConfig {
-            max_nodes: 1,
-            ..TheoryConfig::default()
-        };
+        let config = TheoryConfig { max_nodes: 1 };
         let verdict = check_conjunction(&p, &[a1, a2], config).unwrap();
         assert_eq!(verdict, TheoryVerdict::Unknown);
     }

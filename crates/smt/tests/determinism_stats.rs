@@ -80,8 +80,7 @@ fn identical_statistics_across_runs() {
     );
     // The per-check cost profile must be exercised too, so the equality
     // above covers the warm-started theory backend's counters and not just
-    // zeros: the tableau was built, pivoted, and (with repeated probes on
-    // the same boolean model) answered at least once from the verdict memo.
+    // zeros: the tableau was built, pivoted, and reused interned rows.
     assert!(stats1.tableau_builds > 0, "tableau was never built");
     assert!(
         stats1.tableau_vars > 0,
@@ -93,17 +92,14 @@ fn identical_statistics_across_runs() {
         stats1.slack_row_hits > 0,
         "repeated checks never reused an interned slack row"
     );
+    // The probe `i3 = 41` is propositionally fine but LIA-infeasible, so
+    // the blocking-lemma loop must have run, and every theory check
+    // explores at least one branch-and-bound node.
     assert!(
-        stats1.theory_memo_hits > 0,
-        "repeated probes never hit the theory-verdict memo"
+        stats1.theory_conflicts > 0,
+        "no theory conflict reached the blocking-lemma loop"
     );
-    // Fixing i0..i2 entails the polarity of the `i_t >= 30` branch atoms,
-    // so the default-on theory propagation must fire — and its counters,
-    // being part of `stats`, are covered by the equality checks above.
-    assert!(
-        stats1.theory_propagations > 0,
-        "bound-entailed branch atoms were never theory-propagated"
-    );
+    assert!(stats1.bnb_nodes > 0, "branch-and-bound never ran");
     assert!(
         stats1.encode_cache_hits > 0 && stats1.encode_cache_misses > 0,
         "Tseitin encode cache was not exercised on both paths"

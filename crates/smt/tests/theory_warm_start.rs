@@ -13,7 +13,14 @@
 //!
 //! A second family of tests pins the steady-state memory contract: the live
 //! tableau is bounded by the declared variables plus the *distinct* atom
-//! linear forms — not by the number of checks.
+//! linear forms, and the compiled-bound table by twice the atom registry —
+//! neither grows with the number of checks.
+//!
+//! A third family checks the compiled-bound path against brute-force
+//! enumeration of integer points, an oracle that shares no code with the
+//! compile step: random literal conjunctions over a registry with constant
+//! atoms, negative coefficients, and multi-variable forms that share and
+//! negate slack rows.
 
 use proptest::prelude::*;
 
@@ -56,14 +63,32 @@ fn build_pool(p: &WarmProblem) -> (TermPool, Vec<VarId>) {
     (pool, vars)
 }
 
+fn build_atom(vars: &[VarId], coeffs: &[i64], constant: i64) -> LinAtom {
+    let mut e = LinExpr::constant(constant);
+    for (i, &c) in coeffs.iter().enumerate() {
+        e.add_term(vars[i], c);
+    }
+    LinAtom { expr: e }
+}
+
 fn build_atoms(vars: &[VarId], rows: &[(Vec<i64>, i64)]) -> Vec<LinAtom> {
     rows.iter()
-        .map(|(coeffs, constant)| {
-            let mut e = LinExpr::constant(*constant);
-            for (i, &c) in coeffs.iter().enumerate() {
-                e.add_term(vars[i], c);
+        .map(|(coeffs, constant)| build_atom(vars, coeffs, *constant))
+        .collect()
+}
+
+/// Interns `atoms` into an append-only `registry` (an atom seen before
+/// keeps its index, so its compiled bound is reused) and returns one
+/// positive literal per atom, as a session check takes them.
+fn intern(registry: &mut Vec<LinAtom>, atoms: &[LinAtom]) -> Vec<(usize, bool)> {
+    atoms
+        .iter()
+        .map(|a| match registry.iter().position(|r| r == a) {
+            Some(i) => (i, true),
+            None => {
+                registry.push(a.clone());
+                (registry.len() - 1, true)
             }
-            LinAtom { expr: e }
         })
         .collect()
 }
@@ -74,9 +99,11 @@ fn check_equivalence(p: &WarmProblem) {
     let (pool, vars) = build_pool(p);
     let config = TheoryConfig::default();
     let mut session = TheorySession::new();
+    let mut registry = Vec::new();
     for (step, rows) in p.checks.iter().enumerate() {
         let atoms = build_atoms(&vars, rows);
-        let warm = session.check(&pool, &atoms, config).unwrap();
+        let lits = intern(&mut registry, &atoms);
+        let warm = session.check(&pool, &registry, &lits, config).unwrap();
         let fresh = check_conjunction(&pool, &atoms, config).unwrap();
         match (&warm, &fresh) {
             (TheoryVerdict::Sat(model), TheoryVerdict::Sat(_)) => {
@@ -122,18 +149,19 @@ fn check_tableau_bound(p: &WarmProblem) {
     let (pool, vars) = build_pool(p);
     let config = TheoryConfig::default();
     let mut session = TheorySession::new();
+    let mut registry = Vec::new();
     // One full pass interns every distinct linear form the sequence uses.
     for rows in &p.checks {
-        let atoms = build_atoms(&vars, rows);
-        session.check(&pool, &atoms, config).unwrap();
+        let lits = intern(&mut registry, &build_atoms(&vars, rows));
+        session.check(&pool, &registry, &lits, config).unwrap();
     }
     let high_water = session.tableau_size();
     // Re-running the whole sequence (in any number of cycles) must not grow
     // the tableau: every row is answered by the interning map.
     for _ in 0..3 {
         for rows in &p.checks {
-            let atoms = build_atoms(&vars, rows);
-            session.check(&pool, &atoms, config).unwrap();
+            let lits = intern(&mut registry, &build_atoms(&vars, rows));
+            session.check(&pool, &registry, &lits, config).unwrap();
         }
     }
     prop_assert_eq!(
@@ -161,6 +189,173 @@ fn check_tableau_bound(p: &WarmProblem) {
     prop_assert!(tab_vars <= p.num_vars + tab_rows);
 }
 
+/// A random literal-conjunction problem over one append-only registry,
+/// on a domain small enough to enumerate.
+#[derive(Clone, Debug)]
+struct LiteralProblem {
+    num_vars: usize,
+    lo: i64,
+    hi: i64,
+    /// Registry atoms as `(coeffs, constant)` meaning `Σ cᵢ·xᵢ + k ≤ 0`.
+    registry: Vec<(Vec<i64>, i64)>,
+    /// Each check's literals as `(registry index, polarity)`.
+    checks: Vec<Vec<(usize, bool)>>,
+}
+
+fn literal_problem() -> impl Strategy<Value = LiteralProblem> {
+    (2usize..=3, -2i64..=1, 2i64..=4).prop_flat_map(|(num_vars, lo, width)| {
+        // Two shared linear forms, so different atoms land on the same
+        // slack row and a negated form lands on its mirror row.
+        let forms = proptest::collection::vec(proptest::collection::vec(-3i64..=3, num_vars), 2);
+        // Each atom: 0 = constant, 1 = single variable, 2 = a shared form,
+        // 3 = a shared form negated; plus variable pick, scale, constant.
+        let atom = (0u8..4, 0usize..num_vars, -3i64..=3, -12i64..=12);
+        (
+            forms,
+            proptest::collection::vec(atom, 3..=8),
+            proptest::collection::vec(
+                proptest::collection::vec((0usize..64, proptest::bool::ANY), 0..=6),
+                1..=8,
+            ),
+        )
+            .prop_map(move |(forms, atoms, checks)| {
+                let registry: Vec<(Vec<i64>, i64)> = atoms
+                    .iter()
+                    .map(|&(kind, var, scale, k)| {
+                        let coeffs = match kind {
+                            0 => vec![0; num_vars],
+                            1 => {
+                                let mut c = vec![0; num_vars];
+                                c[var] = if scale == 0 { -1 } else { scale };
+                                c
+                            }
+                            2 => forms[var % 2].clone(),
+                            _ => forms[var % 2].iter().map(|c| -c).collect(),
+                        };
+                        (coeffs, k)
+                    })
+                    .collect();
+                let n = registry.len();
+                let checks = checks
+                    .into_iter()
+                    .map(|c| c.into_iter().map(|(i, v)| (i % n, v)).collect())
+                    .collect();
+                LiteralProblem {
+                    num_vars,
+                    lo,
+                    hi: lo + width,
+                    registry,
+                    checks,
+                }
+            })
+    })
+}
+
+/// Brute force: whether some integer point of the box satisfies every
+/// literal, evaluating atoms directly (no compile step, no simplex).
+fn enumerate_sat(
+    vars: &[VarId],
+    lo: i64,
+    hi: i64,
+    registry: &[LinAtom],
+    lits: &[(usize, bool)],
+) -> bool {
+    let n = vars.len();
+    let mut point = vec![lo; n];
+    loop {
+        let assign = |v: VarId| point[vars.iter().position(|&u| u == v).unwrap()];
+        if lits
+            .iter()
+            .all(|&(i, value)| registry[i].holds(&assign) == value)
+        {
+            return true;
+        }
+        // Odometer step over the box.
+        let mut k = 0;
+        while k < n && point[k] == hi {
+            point[k] = lo;
+            k += 1;
+        }
+        if k == n {
+            return false;
+        }
+        point[k] += 1;
+    }
+}
+
+/// Body of `compiled_literals_agree_with_enumeration_and_fresh_oracle`.
+fn check_literal_oracles(p: &LiteralProblem) {
+    let mut pool = TermPool::new();
+    let vars: Vec<VarId> = (0..p.num_vars)
+        .map(|i| pool.int_var(&format!("x{i}"), p.lo, p.hi))
+        .collect();
+    let registry: Vec<LinAtom> = p
+        .registry
+        .iter()
+        .map(|(coeffs, k)| build_atom(&vars, coeffs, *k))
+        .collect();
+    let config = TheoryConfig::default();
+    let mut session = TheorySession::new();
+    for (step, lits) in p.checks.iter().enumerate() {
+        let warm = session.check(&pool, &registry, lits, config).unwrap();
+        let materialized: Vec<LinAtom> = lits
+            .iter()
+            .map(|&(i, v)| {
+                if v {
+                    registry[i].clone()
+                } else {
+                    registry[i].negated()
+                }
+            })
+            .collect();
+        let fresh = check_conjunction(&pool, &materialized, config).unwrap();
+        let brute = enumerate_sat(&vars, p.lo, p.hi, &registry, lits);
+        match &warm {
+            TheoryVerdict::Sat(model) => {
+                prop_assert!(brute, "step {step}: Sat but no integer point exists");
+                prop_assert!(matches!(fresh, TheoryVerdict::Sat(_)), "step {step}");
+                let assign = |v: VarId| model[&v];
+                for &(i, value) in lits {
+                    prop_assert_eq!(
+                        registry[i].holds(&assign),
+                        value,
+                        "step {}: model {:?} violates literal ({}, {})",
+                        step,
+                        model,
+                        i,
+                        value
+                    );
+                }
+                for &v in &vars {
+                    prop_assert!((p.lo..=p.hi).contains(&model[&v]), "step {step}");
+                }
+            }
+            TheoryVerdict::Unsat(core) => {
+                prop_assert!(!brute, "step {step}: Unsat but enumeration found a point");
+                prop_assert!(matches!(fresh, TheoryVerdict::Unsat(_)), "step {step}");
+                prop_assert!(core.iter().all(|&pos| pos < lits.len()), "step {step}");
+                let sub: Vec<(usize, bool)> = core.iter().map(|&pos| lits[pos]).collect();
+                prop_assert!(
+                    !enumerate_sat(&vars, p.lo, p.hi, &registry, &sub),
+                    "step {step}: core {core:?} is satisfiable on its own"
+                );
+            }
+            TheoryVerdict::Unknown => prop_assert!(false, "step {step}: budget exhausted"),
+        }
+        prop_assert!(session.compiled_len() <= 2 * registry.len());
+    }
+    // Steady state: once every literal has been compiled, repeating the
+    // checks neither grows the compiled table nor the tableau.
+    let (compiled, tableau) = (session.compiled_len(), session.tableau_size());
+    for _ in 0..2 {
+        for lits in &p.checks {
+            session.check(&pool, &registry, lits, config).unwrap();
+        }
+    }
+    prop_assert_eq!(session.compiled_len(), compiled);
+    prop_assert_eq!(session.tableau_size(), tableau);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -172,6 +367,11 @@ proptest! {
     #[test]
     fn tableau_is_bounded_by_distinct_linear_forms(p in warm_problem()) {
         check_tableau_bound(&p);
+    }
+
+    #[test]
+    fn compiled_literals_agree_with_enumeration_and_fresh_oracle(p in literal_problem()) {
+        check_literal_oracles(&p);
     }
 }
 
